@@ -55,10 +55,6 @@ inline void spmm_prefetch_row(const T* p) {
   }
 }
 
-/// Identity widen for the fp32 X path: the templated kernels below inline
-/// this away, leaving the original float loads.
-inline float spmm_widen_f32(float v) { return v; }
-
 // The kernel bodies are additionally templated on the column-index type
 // Idx: int32 for raw CSR spans, uint16 for cached graph::BlockedCsr
 // layouts on graphs whose source-id domain fits 16 bits (half the index
@@ -244,14 +240,16 @@ void spmm_dispatch_t(std::span<const std::int64_t> sp_indptr,
   });
 }
 
+/// SpMM over raw CSR spans with X at any storage precision: the one
+/// storage switch, into the driver above.
 template <bool Overwrite>
-void spmm_dispatch(std::span<const std::int64_t> sp_indptr,
-                   std::span<const std::int32_t> sp_indices,
-                   std::span<const float> sp_values, const Tensor& x,
-                   Tensor& y) {
-  spmm_dispatch_t<Overwrite, float, spmm_widen_f32>(
-      sp_indptr, sp_indices, sp_values, x.data(), x.shape(1), y,
-      Precision::kFp32);
+void spmm_spans(std::span<const std::int64_t> indptr,
+                std::span<const std::int32_t> indices,
+                std::span<const float> values, const MatView& x, Tensor& y) {
+  visit_storage(x, [&]<typename TX, float (*WidenX)(TX)>(const TX* px) {
+    spmm_dispatch_t<Overwrite, TX, WidenX>(indptr, indices, values, px,
+                                           x.cols(), y, x.precision());
+  });
 }
 
 /// Driver for cached graph::BlockedCsr layouts: the edge-balanced row
@@ -291,15 +289,17 @@ void spmm_blocked_dispatch_t(const graph::BlockedCsr& a,
   }
 }
 
+/// SpMM over a cached layout with X at any storage precision.
 template <bool Overwrite>
-void spmm_blocked_dispatch(const graph::BlockedCsr& a, const Tensor& x,
-                           Tensor& y) {
-  GSOUP_CHECK_MSG(x.rank() == 2 && y.rank() == 2 &&
-                      y.shape(0) == a.num_rows && y.shape(1) == x.shape(1),
+void spmm_blocked(const graph::BlockedCsr& a, const MatView& x, Tensor& y) {
+  GSOUP_CHECK_MSG(y.rank() == 2 && y.shape(0) == a.num_rows &&
+                      y.shape(1) == x.cols(),
                   "blocked spmm: bad shapes " << x.shape_str() << " -> "
                                               << y.shape_str());
-  spmm_blocked_dispatch_t<Overwrite, float, spmm_widen_f32>(
-      a, x.data(), x.shape(1), y, Precision::kFp32);
+  visit_storage(x, [&]<typename TX, float (*WidenX)(TX)>(const TX* px) {
+    spmm_blocked_dispatch_t<Overwrite, TX, WidenX>(a, px, x.cols(), y,
+                                                   x.precision());
+  });
 }
 
 // ---- GAT attention kernels ------------------------------------------------
@@ -1001,68 +1001,33 @@ void spmm_reference(const Csr& a, const Tensor& x, Tensor& y) {
 }
 
 void spmm_accumulate(const Csr& a, const Tensor& x, Tensor& y) {
-  spmm_dispatch<false>(a.indptr, a.indices, a.values, x, y);
+  spmm_spans<false>(a.indptr, a.indices, a.values, x, y);
 }
 
 void spmm_overwrite(const Csr& a, const Tensor& x, Tensor& y) {
-  spmm_dispatch<true>(a.indptr, a.indices, a.values, x, y);
+  spmm_spans<true>(a.indptr, a.indices, a.values, x, y);
 }
 
 void spmm_blocked_accumulate(const graph::BlockedCsr& a, const Tensor& x,
                              Tensor& y) {
-  spmm_blocked_dispatch<false>(a, x, y);
+  spmm_blocked<false>(a, x, y);
 }
 
-void spmm_blocked_overwrite(const graph::BlockedCsr& a, const Tensor& x,
+void spmm_blocked_overwrite(const graph::BlockedCsr& a, MatView x,
                             Tensor& y) {
-  spmm_blocked_dispatch<true>(a, x, y);
+  spmm_blocked<true>(a, x, y);
 }
 
 void spmm_spans_overwrite(std::span<const std::int64_t> indptr,
                           std::span<const std::int32_t> indices,
-                          std::span<const float> values, const Tensor& x,
+                          std::span<const float> values, MatView x,
                           Tensor& y) {
   GSOUP_CHECK_MSG(!indptr.empty() && values.size() == indices.size(),
                   "spmm_spans_overwrite: malformed CSR spans");
   GSOUP_CHECK_MSG(y.shape(0) + 1 == static_cast<std::int64_t>(indptr.size()) &&
-                      y.shape(1) == x.shape(1),
+                      y.shape(1) == x.cols(),
                   "spmm_spans_overwrite: bad output shape " << y.shape_str());
-  spmm_dispatch<true>(indptr, indices, values, x, y);
-}
-
-void spmm_blocked_overwrite(const graph::BlockedCsr& a, const HalfBuffer& x,
-                            Tensor& y) {
-  GSOUP_CHECK_MSG(x.rank() == 2 && y.rank() == 2 &&
-                      y.shape(0) == a.num_rows && y.shape(1) == x.shape(1),
-                  "blocked spmm(half): bad shapes " << x.shape_str() << " -> "
-                                                    << y.shape_str());
-  if (x.precision() == Precision::kFp16) {
-    spmm_blocked_dispatch_t<true, std::uint16_t, half::widen_fp16>(
-        a, x.data(), x.shape(1), y, x.precision());
-  } else {
-    spmm_blocked_dispatch_t<true, std::uint16_t, half::widen_bf16>(
-        a, x.data(), x.shape(1), y, x.precision());
-  }
-}
-
-void spmm_spans_overwrite(std::span<const std::int64_t> indptr,
-                          std::span<const std::int32_t> indices,
-                          std::span<const float> values, const HalfBuffer& x,
-                          Tensor& y) {
-  GSOUP_CHECK_MSG(!indptr.empty() && values.size() == indices.size(),
-                  "spmm_spans_overwrite: malformed CSR spans");
-  GSOUP_CHECK_MSG(x.rank() == 2 &&
-                      y.shape(0) + 1 == static_cast<std::int64_t>(indptr.size()) &&
-                      y.shape(1) == x.shape(1),
-                  "spmm_spans_overwrite(half): bad output shape "
-                      << y.shape_str());
-  if (x.precision() == Precision::kFp16) {
-    spmm_dispatch_t<true, std::uint16_t, half::widen_fp16>(
-        indptr, indices, values, x.data(), x.shape(1), y, x.precision());
-  } else {
-    spmm_dispatch_t<true, std::uint16_t, half::widen_bf16>(
-        indptr, indices, values, x.data(), x.shape(1), y, x.precision());
-  }
+  spmm_spans<true>(indptr, indices, values, x, y);
 }
 
 Value spmm(const Csr& a, const Csr& a_transpose, const Value& x) {
@@ -1531,24 +1496,10 @@ Value block_spmm(const Block& block, const Value& x) {
                   "block_spmm: X rows != block src count");
   const std::int64_t d = x->value.shape(1);
   Tensor out = Tensor::empty({block.num_dst, d});
-  {
-    // Same edge-balanced chunking and fused-overwrite kernels as
-    // spmm_overwrite: sampled blocks have bounded fanout, but
-    // union-subgraph blocks inherit the graph's skew.
-    const float* __restrict__ px = x->value.data();
-    float* __restrict__ po = out.data();
-    const auto* __restrict__ indptr = block.indptr.data();
-    const auto* __restrict__ indices = block.indices.data();
-    const auto* __restrict__ values = block.values.data();
-    const std::int64_t e = block.num_edges();
-    for_each_balanced_row(block.indptr,
-                          [&](std::int64_t lo, std::int64_t hi) {
-                            spmm_rows<true, std::int32_t, float,
-                                      spmm_widen_f32>(indptr, indices,
-                                                      values, px, po, d, e,
-                                                      lo, hi);
-                          });
-  }
+  // Same edge-balanced chunking and fused-overwrite kernels as
+  // spmm_overwrite: sampled blocks have bounded fanout, but union-subgraph
+  // blocks inherit the graph's skew.
+  spmm_spans<true>(block.indptr, block.indices, block.values, x->value, out);
   // The backward dX = Bᵀ·dY runs as an edge-balanced SpMM gather over the
   // block's cached transpose (race-free by source row, no team clamp).
   // Blocks sampled with BlockTranspose::kBuild already carry it — the

@@ -44,9 +44,14 @@ void spmm_reference(const Csr& a, const Tensor& x, Tensor& y);
 /// this function applied to a Csr's members. Exposed so the serving
 /// engine can run message passing over block-local CSRs that are not Csr
 /// objects, with bitwise-identical numerics to the training forward.
+///
+/// X may be stored at any precision (a HalfBuffer converts to MatView):
+/// half X elements widen to fp32 in registers right before their FMA and
+/// accumulation order is unchanged, so the result is bit-equal to running
+/// the fp32 SpMM over a widened copy of X. Y is always fp32.
 void spmm_spans_overwrite(std::span<const std::int64_t> indptr,
                           std::span<const std::int32_t> indices,
-                          std::span<const float> values, const Tensor& x,
+                          std::span<const float> values, MatView x,
                           Tensor& y);
 
 /// Y = A · X (and Y += A · X) over a cached graph::BlockedCsr layout: the
@@ -56,21 +61,11 @@ void spmm_spans_overwrite(std::span<const std::int64_t> indptr,
 /// (16-bit on graphs under 2^16 nodes). Bit-identical results to
 /// spmm_overwrite/spmm_accumulate over the CSR the layout was built from.
 /// The layout must carry values (be an SpMM operand, not structure-only).
-void spmm_blocked_overwrite(const graph::BlockedCsr& a, const Tensor& x,
+/// The overwrite form takes X at any storage precision, as above.
+void spmm_blocked_overwrite(const graph::BlockedCsr& a, MatView x,
                             Tensor& y);
 void spmm_blocked_accumulate(const graph::BlockedCsr& a, const Tensor& x,
                              Tensor& y);
-
-// Half-stored-X twins for the reduced-precision infer path. Each X
-// element widens to fp32 in registers right before its FMA; accumulation
-// order is identical to the float kernels, so the result is bit-equal to
-// running the fp32 SpMM over a widened copy of X. Output is fp32.
-void spmm_spans_overwrite(std::span<const std::int64_t> indptr,
-                          std::span<const std::int32_t> indices,
-                          std::span<const float> values, const HalfBuffer& x,
-                          Tensor& y);
-void spmm_blocked_overwrite(const graph::BlockedCsr& a, const HalfBuffer& x,
-                            Tensor& y);
 
 /// Autograd-free multi-head GAT attention forward over a raw CSR
 /// (num_dst = indptr.size() - 1; indices address rows of h_src /

@@ -22,7 +22,8 @@ class GisSouper final : public Souper {
   std::string name() const override { return "GIS"; }
   ParamStore mix(const SoupContext& sctx) override;
 
-  /// Forward evaluations performed by the last mix() (tests: == N·g).
+  /// Forward evaluations performed by the last mix(): (N−1)·g, one sweep
+  /// of g ratios per ingredient after the first.
   std::int64_t evaluations() const { return evaluations_; }
 
  private:

@@ -90,6 +90,14 @@ ag::Value run_train_blocks(const ModelConfig& config,
 /// once here. The parameter tensors are resolved per step at construction
 /// (the store — typically a serve::Snapshot's — must outlive the
 /// executor, as must the plan).
+///
+/// One layer body serves every storage precision. A plan compiled at
+/// fp16/bf16 runs the fp32 body's exact float operations with values
+/// stored at 16 bits at four points: the input features (the caller
+/// passes them quantized), the weight panels (quantized here), GCN's H·W
+/// before the SpMM, and each non-last layer's output. Kernels read those
+/// through MatView and widen in registers; accumulation stays fp32 and
+/// the logits are fp32 at every precision.
 class Executor {
  public:
   Executor(const LayerPlan& plan, const ParamStore& params);
@@ -99,84 +107,56 @@ class Executor {
 
   const LayerPlan& plan() const { return plan_; }
 
-  /// Full-graph forward: `features` is [n, in_dim] in plan space, `out`
-  /// a caller-owned [n, out_dim]. No allocation.
-  void run_full(const Tensor& features, Tensor& out);
-
-  /// Half-storage twin for plans compiled at kFp16/kBf16: features are
-  /// the pre-quantized half matrix, inter-layer activations live in the
-  /// half slabs, and the final logits land in fp32 `out`. No allocation.
-  void run_full(const HalfBuffer& features, Tensor& out);
+  /// Full-graph forward: `features` is [n, in_dim] in plan space, stored
+  /// at the plan's precision (a Tensor for fp32 plans, a HalfBuffer for
+  /// half plans); `out` a caller-owned fp32 [n, out_dim]. No allocation.
+  void run_full(MatView features, Tensor& out);
 
   /// Forward over a subgraph plan's block sequence; gathers the input
-  /// rows from `features` itself. Returns a view (into a workspace or
-  /// directly into a layer output) of the final layer, valid until the
-  /// next run_* call. No allocation.
-  const Tensor& run_subgraph(const SubgraphPlan& sp, const Tensor& features);
-
-  /// Half-storage twin: the input-row gather copies 16-bit rows
-  /// (half the gather traffic), layers run the half lowering, and the
-  /// returned final-layer view is fp32 as always. No allocation.
-  const Tensor& run_subgraph(const SubgraphPlan& sp,
-                             const HalfBuffer& features);
+  /// rows from `features` (stored at the plan's precision) itself, at
+  /// storage width. Returns an fp32 view (into a workspace) of the final
+  /// layer, valid until the next run_* call. No allocation.
+  const Tensor& run_subgraph(const SubgraphPlan& sp, MatView features);
 
   /// Total bytes of preallocated workspace (capacity planning).
   std::size_t workspace_bytes() const;
 
  private:
-  /// Parameter tensors of one step, resolved once.
+  /// Parameters of one step, resolved once. GEMM weights are viewed at
+  /// the plan's storage precision (the quantized panels for half plans);
+  /// bias and attention vectors stay fp32 — they feed fp32 epilogues.
   struct StepParams {
-    const Tensor* weight = nullptr;
-    const Tensor* weight_self = nullptr;
-    const Tensor* weight_neigh = nullptr;
+    MatView weight;
+    MatView weight_self;
+    MatView weight_neigh;
     const Tensor* bias = nullptr;
     const Tensor* attn_dst = nullptr;
     const Tensor* attn_src = nullptr;
   };
 
-  /// Half-stored parameter panels of one step, quantized once at
-  /// construction for half-precision plans (bias and attention vectors
-  /// stay fp32 — they feed fp32 epilogues).
-  struct StepHalfParams {
-    HalfBuffer weight;
-    HalfBuffer weight_self;
-    HalfBuffer weight_neigh;
-  };
-
   /// One layer over an explicit CSR (spans) or, when `spmm_layout` /
   /// `attn_layout` is non-null, the step's cached layout. h_in rows are
-  /// sources; the written view covers destinations. Returns the output
-  /// view (== *final_out for the last layer when provided).
-  Tensor run_layer(const LayerStep& step, const StepParams& p,
-                   std::span<const std::int64_t> indptr,
-                   std::span<const std::int32_t> indices,
-                   std::span<const float> values, const Tensor& h_in,
-                   std::int64_t num_dst, Tensor* final_out,
-                   const graph::BlockedCsr* spmm_layout,
-                   const graph::BlockedCsr* attn_layout);
+  /// sources and sit in activation slab `in_idx` (-1: the caller's
+  /// feature storage); the fp32 output covers destinations and lands in
+  /// `out` (a view of workspace slab next_slab(in_idx), or the caller's
+  /// logits for the last layer).
+  void run_layer(const LayerStep& step, const StepParams& p,
+                 std::span<const std::int64_t> indptr,
+                 std::span<const std::int32_t> indices,
+                 std::span<const float> values, MatView h_in, int in_idx,
+                 Tensor& out, const graph::BlockedCsr* spmm_layout,
+                 const graph::BlockedCsr* attn_layout);
 
-  /// Half-storage layer body: h_in is 16-bit, all accumulation runs in
-  /// the fp32 scratch slabs, and the activated output quantizes into a
-  /// half slab — except the last layer, which stores fp32 into
-  /// *final_out (never null here) and returns an undefined buffer.
-  HalfBuffer run_layer_half(const LayerStep& step, const StepParams& p,
-                            const StepHalfParams& hp,
-                            std::span<const std::int64_t> indptr,
-                            std::span<const std::int32_t> indices,
-                            std::span<const float> values,
-                            const HalfBuffer& h_in, std::int64_t num_dst,
-                            Tensor* final_out,
-                            const graph::BlockedCsr* spmm_layout,
-                            const graph::BlockedCsr* attn_layout);
+  /// A storage point: `x` as its next reader sees it. fp32 plans read the
+  /// workspace view in place; half plans quantize it into half slab `idx`.
+  MatView store(const Tensor& x, int idx, Stage stage);
 
   /// Carve a [rows, cols] view out of workspace buffer `idx`.
   Tensor ws(int idx, std::int64_t rows, std::int64_t cols);
-  /// Carve a [rows, cols] view out of half slab `idx` (half plans only).
-  HalfBuffer hws(int idx, std::int64_t rows, std::int64_t cols);
 
   const LayerPlan& plan_;
   std::vector<StepParams> step_params_;
-  std::vector<StepHalfParams> step_half_;  ///< empty for fp32 plans
+  std::vector<HalfBuffer> weight_panels_;  ///< half plans' quantized weights
 
   // Per-stage duration histograms ("exec.stage_ms", labelled with this
   // plan's arch and the stage name), resolved once here so the hot path
@@ -184,14 +164,15 @@ class Executor {
   // timers cost one relaxed atomic load each (failpoint discipline).
   obs::Histogram* stage_hist_[kNumStages] = {};
 
-  // Plan-declared slabs: three ping-pong layer buffers (input / scratch /
+  // Plan-declared slabs: three rotating layer buffers (input / scratch /
   // output) and the GAT attention-score buffers. The executor owns no
   // per-edge slab: the [E, heads] alpha tensor the pre-exec engine
   // carried is replaced by the infer kernel's reusable thread-local
   // scratch (shared with the backward's dz workspace).
   Tensor buf_[3];
-  // Half plans add three 16-bit inter-layer slabs (the ping-pong
-  // activation storage); the fp32 slabs above become per-layer scratch.
+  // Half plans store activations in three 16-bit slabs rotated with the
+  // same indices as buf_, which then holds the fp32 values each was
+  // quantized from (and the layer's scratch).
   HalfBuffer hbuf_[3];
   Tensor score_dst_ws_;
   Tensor score_src_ws_;

@@ -78,6 +78,10 @@ InferenceEngine::InferenceEngine(
     }
   }
 
+  forward_features_ = precision_ != Precision::kFp32
+                          ? MatView(features_half_)
+                          : MatView(features_);
+
   // The compiled forward: the same LayerPlan the tape records through
   // (bit-identical logits at fp32; the half plans lower storage width
   // only — accumulation order is unchanged), executed here autograd-free
@@ -112,11 +116,7 @@ const Tensor& InferenceEngine::full_logits() {
           Tensor::empty({num_nodes_, plan_->config().out_dim});
     }
     Tensor& target = reordered ? plan_space_logits_ : logits_;
-    if (precision_ != Precision::kFp32) {
-      exec_->run_full(features_half_, target);
-    } else {
-      exec_->run_full(features_, target);
-    }
+    exec_->run_full(forward_features_, target);
     // Plan-space rows back to the caller's numbering, once per cache
     // fill; row lookups stay free afterwards.
     if (reordered) {
@@ -189,22 +189,19 @@ void InferenceEngine::query(std::span<const std::int64_t> nodes,
                                     << num_nodes_ << ")");
     }
     const Tensor& logits = full_logits();
-    if (logits_half_.defined()) {
-      // The half answer table: rows widen to fp32 on gather, so the
-      // steady-state table costs half the memory and gather traffic.
-      ops::gather_rows_into(logits_half_, nodes, out);
-    } else {
-      ops::gather_rows_into(logits, nodes, out);
-    }
+    // The half answer table, when there is one: rows widen to fp32 on
+    // gather, so the steady-state table costs half the memory and gather
+    // traffic.
+    ops::gather_rows_into(
+        logits_half_.defined() ? MatView(logits_half_) : MatView(logits),
+        nodes, out);
     return;
   }
 
   builder_.build(plan_->message_graph(), translate_ids(nodes),
                  scratch_plan_);
-  const Tensor& rows = precision_ != Precision::kFp32
-                           ? exec_->run_subgraph(scratch_plan_, features_half_)
-                           : exec_->run_subgraph(scratch_plan_, features_);
-  scatter_rows(scratch_plan_, rows, out);
+  scatter_rows(scratch_plan_,
+               exec_->run_subgraph(scratch_plan_, forward_features_), out);
 }
 
 std::shared_ptr<const exec::SubgraphPlan> InferenceEngine::compile_query_plan(
@@ -223,10 +220,7 @@ void InferenceEngine::query(const exec::SubgraphPlan& plan, Tensor& out) {
                       out.shape(1) == plan_->config().out_dim,
                   "query output " << out.shape_str()
                                   << " does not match the plan");
-  const Tensor& rows = precision_ != Precision::kFp32
-                           ? exec_->run_subgraph(plan, features_half_)
-                           : exec_->run_subgraph(plan, features_);
-  scatter_rows(plan, rows, out);
+  scatter_rows(plan, exec_->run_subgraph(plan, forward_features_), out);
 }
 
 void InferenceEngine::set_row_guard(std::span<const std::uint8_t> complete) {

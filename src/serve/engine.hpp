@@ -164,6 +164,8 @@ class InferenceEngine {
   /// a private quantized copy or storage shared with the server-owned
   /// slice every sibling engine reads.
   HalfBuffer features_half_;
+  /// The one of the two every forward reads, at the plan's precision.
+  MatView forward_features_;
   QueryMode mode_;
   Precision precision_ = Precision::kFp32;
   std::int64_t num_nodes_ = 0;

@@ -222,4 +222,34 @@ HalfBuffer HalfBuffer::view_prefix(Shape shape) const {
   return HalfBuffer(storage_, std::move(shape), precision_);
 }
 
+MatView::MatView(const Tensor& t) {
+  GSOUP_CHECK_MSG(t.rank() == 2,
+                  "matrix operand must be rank-2, got " << t.shape_str());
+  data_ = t.data();
+  rows_ = t.shape(0);
+  cols_ = t.shape(1);
+}
+
+MatView::MatView(const HalfBuffer& h) : precision_(h.precision()) {
+  GSOUP_CHECK_MSG(h.rank() == 2,
+                  "matrix operand must be rank-2, got " << h.shape_str());
+  data_ = h.data();
+  rows_ = h.shape(0);
+  cols_ = h.shape(1);
+}
+
+std::string MatView::shape_str() const {
+  std::ostringstream os;
+  os << '[' << rows_ << ", " << cols_ << "] " << precision_name(precision_);
+  return os.str();
+}
+
+MatView MatView::top_rows(std::int64_t rows) const {
+  GSOUP_CHECK_MSG(rows >= 0 && rows <= rows_,
+                  "top_rows(" << rows << ") of " << shape_str());
+  MatView v = *this;
+  v.rows_ = rows;
+  return v;
+}
+
 }  // namespace gsoup

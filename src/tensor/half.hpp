@@ -120,6 +120,10 @@ inline std::uint16_t quantize_bf16(float f) {
   return static_cast<std::uint16_t>(x >> 16);
 }
 
+/// Identity "widen" for fp32-stored elements: the base case the kernel
+/// templates instantiate for fp32 operands (compiled away).
+inline float widen_fp32(float f) { return f; }
+
 inline float widen_one(std::uint16_t h, Precision p) {
   return p == Precision::kFp16 ? widen_fp16(h) : widen_bf16(h);
 }
@@ -208,5 +212,56 @@ class HalfBuffer {
   std::int64_t numel_ = 0;
   Precision precision_ = Precision::kFp16;
 };
+
+/// Read-only view of a row-major [rows, cols] matrix together with the
+/// precision its elements are stored at: the one operand type of the
+/// infer-path kernels (GEMM, SpMM, row gather). Tensor and HalfBuffer
+/// convert to it implicitly, and each kernel turns the storage format
+/// into an element type once, through visit_storage() — so a kernel is
+/// written once for every precision instead of once per operand-type
+/// combination. Non-owning, like std::span: the viewed storage must
+/// outlive the view.
+class MatView {
+ public:
+  MatView() = default;
+  MatView(const Tensor& t);      // NOLINT(google-explicit-constructor)
+  MatView(const HalfBuffer& h);  // NOLINT(google-explicit-constructor)
+
+  Precision precision() const { return precision_; }
+  std::int64_t rows() const { return rows_; }
+  std::int64_t cols() const { return cols_; }
+  const void* data() const { return data_; }
+  std::string shape_str() const;
+
+  /// The leading `rows` rows of the same storage.
+  MatView top_rows(std::int64_t rows) const;
+
+ private:
+  const void* data_ = nullptr;
+  std::int64_t rows_ = 0;
+  std::int64_t cols_ = 0;
+  Precision precision_ = Precision::kFp32;
+};
+
+/// The storage switch: calls `f.template operator()<T, Widen>(elems)` with
+/// the view's elements typed by their format — float with the identity
+/// widen for fp32, uint16 with the fp16 or bf16 codec otherwise — so
+/// kernel templates generic over (element type, widen) instantiate once
+/// per format and the per-element widen is a compile-time constant.
+template <typename F>
+decltype(auto) visit_storage(const MatView& v, F&& f) {
+  switch (v.precision()) {
+    case Precision::kFp16:
+      return f.template operator()<std::uint16_t, half::widen_fp16>(
+          static_cast<const std::uint16_t*>(v.data()));
+    case Precision::kBf16:
+      return f.template operator()<std::uint16_t, half::widen_bf16>(
+          static_cast<const std::uint16_t*>(v.data()));
+    case Precision::kFp32:
+      break;
+  }
+  return f.template operator()<float, half::widen_fp32>(
+      static_cast<const float*>(v.data()));
+}
 
 }  // namespace gsoup

@@ -58,9 +58,6 @@ struct AlignedBuffer {
   float* ptr;
 };
 
-/// Identity "widen" for fp32-stored A elements (the template's base case).
-inline float widen_f32(float x) { return x; }
-
 /// Edge tile (mr < MR and/or nr < NR): same contraction with runtime
 /// bounds.
 template <bool kCombineBias>
@@ -220,9 +217,22 @@ bool use_blocked_gemm(std::int64_t m, std::int64_t n, std::int64_t k) {
   return 2 * m * n * k >= kBlockedGemmMinFlops;
 }
 
-/// Naive i-k-j accumulate generalised over stored element types; the
-/// below-threshold fallback for the half GEMM overloads, mirroring
-/// matmul_naive_acc's loop order exactly.
+/// Pack accessors for a view's typed elements: fp32 A is read in place and
+/// fp32 B memcpy-packed, half-stored operands widen as they pack.
+PackA32 pack_a(const float* pa, std::int64_t k, Precision) { return {pa, k}; }
+PackA16 pack_a(const std::uint16_t* pa, std::int64_t k, Precision prec) {
+  return {pa, k, prec};
+}
+PackB32 pack_b(const float* pb, std::int64_t n, Precision) { return {pb, n}; }
+PackB16 pack_b(const std::uint16_t* pb, std::int64_t n, Precision prec) {
+  return {pb, n, prec};
+}
+
+/// Naive i-k-j accumulate over stored element types: the below-threshold
+/// GEMM path, mirroring matmul_naive_acc's loop order exactly (that
+/// reference keeps its own loop so tests compare against independent
+/// code). Widening is exact, so every storage format runs the fp32 loop's
+/// float operations in its order.
 template <typename TA, float (*WidenA)(TA), typename TB, float (*WidenB)(TB)>
 void naive_acc_t(std::int64_t m, std::int64_t n, std::int64_t k,
                  const TA* __restrict__ pa, const TB* __restrict__ pb,
@@ -239,13 +249,42 @@ void naive_acc_t(std::int64_t m, std::int64_t n, std::int64_t k,
   }
 }
 
-void check_matmul_half(std::int64_t am, std::int64_t ak, std::int64_t bk,
-                       std::int64_t bn, const Tensor& c) {
-  GSOUP_CHECK_MSG(ak == bk, "matmul inner-dimension mismatch: ["
-                                << am << ", " << ak << "] vs [" << bk << ", "
-                                << bn << "]");
-  GSOUP_CHECK_MSG(c.rank() == 2 && c.shape(0) == am && c.shape(1) == bn,
-                  "matmul_acc output shape mismatch");
+void check_matmul_views(const MatView& a, const MatView& b, const Tensor& c,
+                        const char* op) {
+  GSOUP_CHECK_MSG(a.cols() == b.rows(), op << " inner-dimension mismatch: "
+                                           << a.shape_str() << " vs "
+                                           << b.shape_str());
+  GSOUP_CHECK_MSG(a.precision() == Precision::kFp32 ||
+                      b.precision() == Precision::kFp32 ||
+                      a.precision() == b.precision(),
+                  "mixed half precisions in " << op << ": "
+                                              << a.shape_str() << " vs "
+                                              << b.shape_str());
+  GSOUP_CHECK_MSG(c.rank() == 2 && c.shape(0) == a.rows() &&
+                      c.shape(1) == b.cols(),
+                  op << " output shape mismatch: " << c.shape_str());
+}
+
+/// c (+)= A · B for views at any storage precision: one visit per operand
+/// resolves the element types, then the blocked kernel (packing per
+/// format) or, outside kCombineBias below the blocking threshold, the
+/// naive loop.
+template <bool kCombineBias>
+void gemm_views(const MatView& a, const MatView& b, float* pc,
+                const float* bias) {
+  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
+  const bool blocked = kCombineBias || use_blocked_gemm(m, n, k);
+  visit_storage(a, [&]<typename TA, float (*WA)(TA)>(const TA* pa) {
+    visit_storage(b, [&]<typename TB, float (*WB)(TB)>(const TB* pb) {
+      if (blocked) {
+        gemm_blocked_acc_t<kCombineBias>(m, n, k, pack_a(pa, k, a.precision()),
+                                         pack_b(pb, n, b.precision()), pc,
+                                         bias);
+      } else {
+        naive_acc_t<TA, WA, TB, WB>(m, n, k, pa, pb, pc);
+      }
+    });
+  });
 }
 
 }  // namespace
@@ -257,16 +296,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c) {
-  check_matmul(a, b, a.shape(1), b.shape(0));
-  GSOUP_CHECK_MSG(c.shape(0) == a.shape(0) && c.shape(1) == b.shape(1),
-                  "matmul_acc output shape mismatch");
-  const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(1);
-  if (use_blocked_gemm(m, n, k)) {
-    gemm_blocked_acc(m, n, k, a.data(), b.data(), c.data());
-    return;
-  }
-  matmul_naive_acc(a, b, c);
+void matmul_acc(MatView a, MatView b, Tensor& c) {
+  check_matmul_views(a, b, c, "matmul_acc");
+  gemm_views<false>(a, b, c.data(), nullptr);
 }
 
 void matmul_naive_acc(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -292,72 +324,6 @@ void matmul_naive_acc(const Tensor& a, const Tensor& b, Tensor& c) {
   }
 }
 
-void matmul_acc(const HalfBuffer& a, const Tensor& b, Tensor& c) {
-  GSOUP_CHECK_MSG(a.rank() == 2 && b.rank() == 2,
-                  "matmul requires rank-2 operands, got "
-                      << a.shape_str() << " and " << b.shape_str());
-  const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(1);
-  check_matmul_half(m, k, b.shape(0), n, c);
-  if (use_blocked_gemm(m, n, k)) {
-    gemm_blocked_acc_t<false>(m, n, k, PackA16{a.data(), k, a.precision()},
-                              PackB32{b.data(), n}, c.data(), nullptr);
-    return;
-  }
-  if (a.precision() == Precision::kFp16) {
-    naive_acc_t<std::uint16_t, half::widen_fp16, float, widen_f32>(
-        m, n, k, a.data(), b.data(), c.data());
-  } else {
-    naive_acc_t<std::uint16_t, half::widen_bf16, float, widen_f32>(
-        m, n, k, a.data(), b.data(), c.data());
-  }
-}
-
-void matmul_acc(const Tensor& a, const HalfBuffer& b, Tensor& c) {
-  GSOUP_CHECK_MSG(a.rank() == 2 && b.rank() == 2,
-                  "matmul requires rank-2 operands, got "
-                      << a.shape_str() << " and " << b.shape_str());
-  const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(1);
-  check_matmul_half(m, k, b.shape(0), n, c);
-  if (use_blocked_gemm(m, n, k)) {
-    gemm_blocked_acc_t<false>(m, n, k, PackA32{a.data(), k},
-                              PackB16{b.data(), n, b.precision()}, c.data(),
-                              nullptr);
-    return;
-  }
-  if (b.precision() == Precision::kFp16) {
-    naive_acc_t<float, widen_f32, std::uint16_t, half::widen_fp16>(
-        m, n, k, a.data(), b.data(), c.data());
-  } else {
-    naive_acc_t<float, widen_f32, std::uint16_t, half::widen_bf16>(
-        m, n, k, a.data(), b.data(), c.data());
-  }
-}
-
-void matmul_acc(const HalfBuffer& a, const HalfBuffer& b, Tensor& c) {
-  GSOUP_CHECK_MSG(a.rank() == 2 && b.rank() == 2,
-                  "matmul requires rank-2 operands, got "
-                      << a.shape_str() << " and " << b.shape_str());
-  GSOUP_CHECK_MSG(a.precision() == b.precision(),
-                  "mixed half precisions in matmul_acc: "
-                      << precision_name(a.precision()) << " vs "
-                      << precision_name(b.precision()));
-  const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(1);
-  check_matmul_half(m, k, b.shape(0), n, c);
-  if (use_blocked_gemm(m, n, k)) {
-    gemm_blocked_acc_t<false>(m, n, k, PackA16{a.data(), k, a.precision()},
-                              PackB16{b.data(), n, b.precision()}, c.data(),
-                              nullptr);
-    return;
-  }
-  if (a.precision() == Precision::kFp16) {
-    naive_acc_t<std::uint16_t, half::widen_fp16, std::uint16_t,
-                half::widen_fp16>(m, n, k, a.data(), b.data(), c.data());
-  } else {
-    naive_acc_t<std::uint16_t, half::widen_bf16, std::uint16_t,
-                half::widen_bf16>(m, n, k, a.data(), b.data(), c.data());
-  }
-}
-
 bool gemm_can_combine_bias(std::int64_t m, std::int64_t n, std::int64_t k) {
   // One k-panel keeps the whole contraction in the register accumulators,
   // so the fused store consumes the COMPLETE product — the exact bits a
@@ -366,36 +332,17 @@ bool gemm_can_combine_bias(std::int64_t m, std::int64_t n, std::int64_t k) {
   return use_blocked_gemm(m, n, k) && k <= kKC;
 }
 
-void matmul_combine_bias(const Tensor& a, const Tensor& b,
-                         const Tensor& bias, Tensor& c) {
-  check_matmul(a, b, a.shape(1), b.shape(0));
-  const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(1);
-  check_matmul_half(m, k, b.shape(0), n, c);
+void matmul_combine_bias(MatView a, MatView b, const Tensor& bias,
+                         Tensor& c) {
+  check_matmul_views(a, b, c, "matmul_combine_bias");
+  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
   GSOUP_CHECK_MSG(bias.rank() == 1 && bias.shape(0) == n,
                   "matmul_combine_bias: bias " << bias.shape_str()
                                                << " vs n=" << n);
   GSOUP_CHECK_MSG(gemm_can_combine_bias(m, n, k),
                   "matmul_combine_bias outside its fusable regime (m=" << m
                       << ", n=" << n << ", k=" << k << ")");
-  gemm_blocked_acc_t<true>(m, n, k, PackA32{a.data(), k},
-                           PackB32{b.data(), n}, c.data(), bias.data());
-}
-
-void matmul_combine_bias(const HalfBuffer& a, const HalfBuffer& b,
-                         const Tensor& bias, Tensor& c) {
-  GSOUP_CHECK_MSG(a.precision() == b.precision(),
-                  "mixed half precisions in matmul_combine_bias");
-  const std::int64_t m = a.shape(0), k = a.shape(1), n = b.shape(1);
-  check_matmul_half(m, k, b.shape(0), n, c);
-  GSOUP_CHECK_MSG(bias.rank() == 1 && bias.shape(0) == n,
-                  "matmul_combine_bias: bias " << bias.shape_str()
-                                               << " vs n=" << n);
-  GSOUP_CHECK_MSG(gemm_can_combine_bias(m, n, k),
-                  "matmul_combine_bias outside its fusable regime (m=" << m
-                      << ", n=" << n << ", k=" << k << ")");
-  gemm_blocked_acc_t<true>(m, n, k, PackA16{a.data(), k, a.precision()},
-                           PackB16{b.data(), n, b.precision()}, c.data(),
-                           bias.data());
+  gemm_views<true>(a, b, c.data(), bias.data());
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
@@ -750,120 +697,67 @@ void per_head_dot_into(const Tensor& x, const Tensor& a, std::int64_t heads,
 
 namespace {
 
-template <typename Idx>
-void gather_rows_into_impl(const Tensor& src, std::span<const Idx> row_ids,
-                           Tensor& out) {
-  GSOUP_CHECK_MSG(src.rank() == 2 && out.rank() == 2 &&
-                      out.shape(1) == src.shape(1) &&
-                      out.shape(0) ==
-                          static_cast<std::int64_t>(row_ids.size()),
+/// The one row gather: rows move at storage width when `out` stores src's
+/// precision (a memcpy per row) and widen per row when half rows land in
+/// fp32.
+template <typename Idx, typename Out>
+void gather_rows_impl(const MatView& src, std::span<const Idx> row_ids,
+                      Out& out) {
+  const MatView dst = out;
+  GSOUP_CHECK_MSG(dst.cols() == src.cols() &&
+                      dst.rows() == static_cast<std::int64_t>(row_ids.size()),
                   "gather_rows_into: bad shapes " << src.shape_str() << " / "
-                                                  << out.shape_str());
-  const std::int64_t d = src.shape(1);
-  const std::int64_t m = out.shape(0);
-  const float* __restrict__ ps = src.data();
-  float* __restrict__ pd = out.data();
+                                                  << dst.shape_str());
+  const bool widen = dst.precision() != src.precision();
+  GSOUP_CHECK_MSG(!widen || dst.precision() == Precision::kFp32,
+                  "gather_rows_into: cannot store " << src.shape_str()
+                                                    << " rows into "
+                                                    << dst.shape_str());
+  const std::int64_t d = src.cols();
+  const std::int64_t m = dst.rows();
+  const std::size_t row_bytes =
+      static_cast<std::size_t>(d) *
+      (src.precision() == Precision::kFp32 ? sizeof(float)
+                                           : sizeof(std::uint16_t));
+  const auto* __restrict__ ps = static_cast<const char*>(src.data());
+  auto* __restrict__ pd = reinterpret_cast<char*>(out.data());
 #pragma omp parallel for schedule(static) \
     if (m * d >= kParallelNumelThreshold)
   for (std::int64_t i = 0; i < m; ++i) {
-    GSOUP_DCHECK(row_ids[static_cast<std::size_t>(i)] >= 0 &&
-                 row_ids[static_cast<std::size_t>(i)] < src.shape(0));
-    std::memcpy(pd + i * d,
-                ps + static_cast<std::int64_t>(
-                         row_ids[static_cast<std::size_t>(i)]) *
-                         d,
-                static_cast<std::size_t>(d) * sizeof(float));
-  }
-}
-
-template <typename Idx>
-void gather_rows_into_half_impl(const HalfBuffer& src,
-                                std::span<const Idx> row_ids, Tensor& out) {
-  GSOUP_CHECK_MSG(src.rank() == 2 && out.rank() == 2 &&
-                      out.shape(1) == src.shape(1) &&
-                      out.shape(0) ==
-                          static_cast<std::int64_t>(row_ids.size()),
-                  "gather_rows_into: bad shapes " << src.shape_str() << " / "
-                                                  << out.shape_str());
-  const std::int64_t d = src.shape(1);
-  const std::int64_t m = out.shape(0);
-  const std::uint16_t* __restrict__ ps = src.data();
-  float* __restrict__ pd = out.data();
-  const Precision prec = src.precision();
-  // The memcpy of the fp32 gather becomes a bulk row widen — same traffic
-  // shape, half the bytes read.
-#pragma omp parallel for schedule(static) \
-    if (m * d >= kParallelNumelThreshold)
-  for (std::int64_t i = 0; i < m; ++i) {
-    GSOUP_DCHECK(row_ids[static_cast<std::size_t>(i)] >= 0 &&
-                 row_ids[static_cast<std::size_t>(i)] < src.shape(0));
-    half::widen(ps + static_cast<std::int64_t>(
-                         row_ids[static_cast<std::size_t>(i)]) *
-                         d,
-                pd + i * d, d, prec);
-  }
-}
-
-template <typename Idx>
-void gather_rows_into_h2h_impl(const HalfBuffer& src,
-                               std::span<const Idx> row_ids,
-                               HalfBuffer& out) {
-  GSOUP_CHECK_MSG(src.rank() == 2 && out.rank() == 2 &&
-                      out.shape(1) == src.shape(1) &&
-                      out.shape(0) ==
-                          static_cast<std::int64_t>(row_ids.size()) &&
-                      out.precision() == src.precision(),
-                  "gather_rows_into: bad shapes " << src.shape_str() << " / "
-                                                  << out.shape_str());
-  const std::int64_t d = src.shape(1);
-  const std::int64_t m = out.shape(0);
-  const std::uint16_t* __restrict__ ps = src.data();
-  std::uint16_t* __restrict__ pd = out.data();
-#pragma omp parallel for schedule(static) \
-    if (m * d >= kParallelNumelThreshold)
-  for (std::int64_t i = 0; i < m; ++i) {
-    GSOUP_DCHECK(row_ids[static_cast<std::size_t>(i)] >= 0 &&
-                 row_ids[static_cast<std::size_t>(i)] < src.shape(0));
-    std::memcpy(pd + i * d,
-                ps + static_cast<std::int64_t>(
-                         row_ids[static_cast<std::size_t>(i)]) *
-                         d,
-                static_cast<std::size_t>(d) * sizeof(std::uint16_t));
+    const auto row = static_cast<std::int64_t>(
+        row_ids[static_cast<std::size_t>(i)]);
+    GSOUP_DCHECK(row >= 0 && row < src.rows());
+    const char* from = ps + row * static_cast<std::int64_t>(row_bytes);
+    if (widen) {
+      half::widen(reinterpret_cast<const std::uint16_t*>(from),
+                  reinterpret_cast<float*>(pd) + i * d, d, src.precision());
+    } else {
+      std::memcpy(pd + i * static_cast<std::int64_t>(row_bytes), from,
+                  row_bytes);
+    }
   }
 }
 
 }  // namespace
 
-void gather_rows_into(const Tensor& src,
-                      std::span<const std::int32_t> row_ids, Tensor& out) {
-  gather_rows_into_impl(src, row_ids, out);
+void gather_rows_into(MatView src, std::span<const std::int32_t> row_ids,
+                      Tensor& out) {
+  gather_rows_impl(src, row_ids, out);
 }
 
-void gather_rows_into(const Tensor& src,
-                      std::span<const std::int64_t> row_ids, Tensor& out) {
-  gather_rows_into_impl(src, row_ids, out);
+void gather_rows_into(MatView src, std::span<const std::int64_t> row_ids,
+                      Tensor& out) {
+  gather_rows_impl(src, row_ids, out);
 }
 
-void gather_rows_into(const HalfBuffer& src,
-                      std::span<const std::int32_t> row_ids, Tensor& out) {
-  gather_rows_into_half_impl(src, row_ids, out);
-}
-
-void gather_rows_into(const HalfBuffer& src,
-                      std::span<const std::int64_t> row_ids, Tensor& out) {
-  gather_rows_into_half_impl(src, row_ids, out);
-}
-
-void gather_rows_into(const HalfBuffer& src,
-                      std::span<const std::int32_t> row_ids,
+void gather_rows_into(MatView src, std::span<const std::int32_t> row_ids,
                       HalfBuffer& out) {
-  gather_rows_into_h2h_impl(src, row_ids, out);
+  gather_rows_impl(src, row_ids, out);
 }
 
-void gather_rows_into(const HalfBuffer& src,
-                      std::span<const std::int64_t> row_ids,
+void gather_rows_into(MatView src, std::span<const std::int64_t> row_ids,
                       HalfBuffer& out) {
-  gather_rows_into_h2h_impl(src, row_ids, out);
+  gather_rows_impl(src, row_ids, out);
 }
 
 float max_abs_diff(const Tensor& a, const Tensor& b) {

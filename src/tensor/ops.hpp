@@ -21,22 +21,14 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 /// C = A · Bᵀ. A is [m,k], B is [n,k], C out [m,n]. (Used by matmul backward.)
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
-/// In-place accumulate: c += A · B.
-void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c);
-
-// ---- Reduced-precision GEMM ---------------------------------------------
-// Half-stored operands, fp32 accumulation. The A elements widen to fp32 in
-// the micro-kernel registers and the B panel widens during packing, so the
-// blocked schedule and accumulation order are IDENTICAL to the fp32 kernel:
-// results are bit-equal to running the fp32 GEMM over quantize-widened
-// copies of the inputs. Output is always fp32.
-
-/// c += A · B with half-stored A and fp32 B.
-void matmul_acc(const HalfBuffer& a, const Tensor& b, Tensor& c);
-/// c += A · B with fp32 A and half-stored B (half weight panels).
-void matmul_acc(const Tensor& a, const HalfBuffer& b, Tensor& c);
-/// c += A · B with both operands half-stored (same precision required).
-void matmul_acc(const HalfBuffer& a, const HalfBuffer& b, Tensor& c);
+/// In-place accumulate: c += A · B, fp32 accumulation whatever the
+/// operands' storage precision. Half-stored operands (a HalfBuffer
+/// viewed as a MatView) widen to fp32 while the blocked path packs them
+/// — A strips per micro-panel, B panels once per tile — so the schedule
+/// and accumulation order are IDENTICAL to the fp32 kernel: results are
+/// bit-equal to running the fp32 GEMM over quantize-widened copies of the
+/// inputs. Two half operands must share one precision.
+void matmul_acc(MatView a, MatView b, Tensor& c);
 
 // ---- Fused GEMM + combine + bias ----------------------------------------
 // c = (A·B + c) + bias, the SAGE (self + neigh) + bias combine folded into
@@ -48,12 +40,10 @@ void matmul_acc(const HalfBuffer& a, const HalfBuffer& b, Tensor& c);
 
 /// True if matmul_combine_bias may be used for an [m,k]x[k,n] product.
 bool gemm_can_combine_bias(std::int64_t m, std::int64_t n, std::int64_t k);
-/// c = (A·B + c) + bias. Requires gemm_can_combine_bias(m, n, k).
-void matmul_combine_bias(const Tensor& a, const Tensor& b,
-                         const Tensor& bias, Tensor& c);
-/// Half-stored-operand twin (same eligibility rule).
-void matmul_combine_bias(const HalfBuffer& a, const HalfBuffer& b,
-                         const Tensor& bias, Tensor& c);
+/// c = (A·B + c) + bias. Requires gemm_can_combine_bias(m, n, k); the
+/// operands may be stored at any precision, as for matmul_acc.
+void matmul_combine_bias(MatView a, MatView b, const Tensor& bias,
+                         Tensor& c);
 
 // ---- Naive GEMM references ----------------------------------------------
 // The simple row-parallel loops the packed/blocked kernels above fall back
@@ -117,32 +107,23 @@ inline std::int64_t argmax_row(const float* row, std::int64_t n) {
 void per_head_dot_into(const Tensor& x, const Tensor& a, std::int64_t heads,
                        Tensor& out);
 
-/// out[i] = src[row_ids[i]] for rank-2 src, preallocated out
-/// ([row_ids.size(), src.cols]). Allocation-free row gather shared by the
-/// graph locality layer (permuting features/logits between the caller's
-/// and a GraphPlan's vertex numbering) and the serving engine's batch
-/// row lookups.
-void gather_rows_into(const Tensor& src,
-                      std::span<const std::int32_t> row_ids, Tensor& out);
-void gather_rows_into(const Tensor& src,
-                      std::span<const std::int64_t> row_ids, Tensor& out);
-
-/// Convert-on-gather: rows of a half-stored matrix widened to fp32 as they
-/// are copied out. One bulk widen per row (F16C when the CPU has it), so a
-/// half feature matrix or cached logits table halves the gather traffic at
-/// no extra pass.
-void gather_rows_into(const HalfBuffer& src,
-                      std::span<const std::int32_t> row_ids, Tensor& out);
-void gather_rows_into(const HalfBuffer& src,
-                      std::span<const std::int64_t> row_ids, Tensor& out);
-
-/// Half-to-half row gather (16-bit memcpy per row): keeps gathered
-/// subgraph input rows at storage width for kernels that read half
-/// directly. Precisions must match.
-void gather_rows_into(const HalfBuffer& src,
-                      std::span<const std::int32_t> row_ids, HalfBuffer& out);
-void gather_rows_into(const HalfBuffer& src,
-                      std::span<const std::int64_t> row_ids, HalfBuffer& out);
+/// out[i] = src[row_ids[i]] into a preallocated out ([row_ids.size(),
+/// src.cols]). Allocation-free row gather shared by the graph locality
+/// layer (permuting features/logits between the caller's and a
+/// GraphPlan's vertex numbering), the serving engine's batch row lookups
+/// and the executor's subgraph input rows. Rows stored at out's precision
+/// are copied at storage width; half rows gathered into an fp32 `out`
+/// widen as they are copied (one bulk widen per row, F16C when the CPU
+/// has it), so a half feature matrix or cached logits table halves the
+/// gather traffic at no extra pass. Quantizing on gather is not offered.
+void gather_rows_into(MatView src, std::span<const std::int32_t> row_ids,
+                      Tensor& out);
+void gather_rows_into(MatView src, std::span<const std::int64_t> row_ids,
+                      Tensor& out);
+void gather_rows_into(MatView src, std::span<const std::int32_t> row_ids,
+                      HalfBuffer& out);
+void gather_rows_into(MatView src, std::span<const std::int64_t> row_ids,
+                      HalfBuffer& out);
 
 // ---- Comparison helpers (tests) -----------------------------------------
 

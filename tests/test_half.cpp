@@ -12,6 +12,10 @@
 //    store, span and blocked SpMM) equals its fp32 twin run over
 //    quantize-widened copies of the half operands. Accumulation order is
 //    unchanged by design; these tests pin it.
+//  - Executor oracle parity, BIT-exact: half-plan full passes and
+//    subgraph batches equal the fp32 layer algebra, built from public
+//    kernels, quantize-widened at the four storage points (input
+//    features, weight panels, GCN's H·W, each non-last layer output).
 //  - Accuracy parity: fp16/bf16 x {GCN, SAGE, GAT} x {plain engine
 //    (subgraph + cached-full), sharded k=2, replicated R=2} logits stay
 //    inside a precision-scaled tolerance of the fp32 reference, and the
@@ -378,6 +382,129 @@ TEST(HalfKernels, SpmmMatchesWidenedOracle) {
         << precision_name(p) << " spans";
   }
 }
+
+// ---- Executor-level oracle (bit-exact) -----------------------------------
+
+/// c = a · b into fresh zeros (the executor's GEMM: zero, then accumulate).
+Tensor zero_matmul(const Tensor& a, const Tensor& b) {
+  Tensor c = Tensor::zeros({a.shape(0), b.shape(1)});
+  ops::matmul_acc(a, b, c);
+  return c;
+}
+
+/// One layer of the half infer lowering written out from public fp32
+/// kernels: exactly the fp32 layer algebra, quantize-widened at the
+/// storage points a layer owns — the weight panels, GCN's H·W before the
+/// SpMM, and the output of every non-last layer. `h` is the layer input
+/// (already storage-rounded); the CSR spans map num_dst rows onto it.
+Tensor oracle_layer(const exec::LayerStep& step, const ModelConfig& cfg,
+                    const ParamStore& params, Precision p,
+                    std::span<const std::int64_t> indptr,
+                    std::span<const std::int32_t> indices,
+                    std::span<const float> values, const Tensor& h,
+                    std::int64_t num_dst) {
+  const auto weight = [&](const std::string& name) {
+    return wq(params.get(name), p);
+  };
+  Tensor out = Tensor::empty({num_dst, step.out_width});
+  switch (cfg.arch) {
+    case Arch::kGcn: {
+      const Tensor hw = wq(zero_matmul(h, weight(step.weight)), p);
+      ag::spmm_spans_overwrite(indptr, indices, values, hw, out);
+      break;
+    }
+    case Arch::kSage: {
+      Tensor agg = Tensor::empty({num_dst, step.in_dim});
+      ag::spmm_spans_overwrite(indptr, indices, values, h, agg);
+      const Tensor self = zero_matmul(h.view_prefix({num_dst, step.in_dim}),
+                                      weight(step.weight_self));
+      out = ops::add(self, zero_matmul(agg, weight(step.weight_neigh)));
+      break;
+    }
+    case Arch::kGat: {
+      const Tensor hw = zero_matmul(h, weight(step.weight));
+      Tensor s_src = Tensor::empty({h.shape(0), step.heads});
+      Tensor s_dst = Tensor::empty({num_dst, step.heads});
+      ops::per_head_dot_into(hw, params.get(step.attn_src), step.heads,
+                             s_src);
+      ops::per_head_dot_into(hw.view_prefix({num_dst, step.out_width}),
+                             params.get(step.attn_dst), step.heads, s_dst);
+      ag::gat_attention_infer(indptr, indices, hw, s_dst, s_src, step.heads,
+                              cfg.attn_slope, out);
+      break;
+    }
+  }
+  out = ops::add_row_broadcast(out, params.get(step.bias));
+  if (step.last) return out;
+  return wq(cfg.arch == Arch::kGat ? ops::elu(out) : ops::relu(out), p);
+}
+
+class HalfExecOracle
+    : public ::testing::TestWithParam<std::tuple<Arch, Precision>> {};
+
+TEST_P(HalfExecOracle, FullAndSubgraphPassesMatchStoragePointOracle) {
+  // The half lowering must be the fp32 layer body with a quantize-widen at
+  // four storage points (input features, weight panels, GCN's H·W, each
+  // non-last output) and nothing else — equal to the bit. The 3000-node
+  // graph runs SAGE's full pass through the fused combine-bias GEMM store;
+  // the small graph and every subgraph batch take the unfused combine.
+  const Arch arch = std::get<0>(GetParam());
+  const Precision p = std::get<1>(GetParam());
+  for (const std::int64_t num_nodes : {220LL, 3000LL}) {
+    SyntheticSpec spec;
+    spec.num_nodes = num_nodes;
+    spec.avg_degree = 8.0;
+    spec.num_classes = 5;
+    spec.feature_dim = 12;
+    spec.degree_sigma = 1.2;
+    spec.seed = 77;
+    const Dataset data = generate_dataset(spec);
+    const ModelConfig cfg = half_config(arch, data);
+    const GnnModel model(cfg);
+    Rng rng(61);
+    const ParamStore params = model.init_params(rng);
+    const GraphContext ctx(data.graph, arch);
+    const exec::LayerPlan& plan = ctx.layer_plan(cfg, p);
+    exec::Executor ex(plan, params);
+    const HalfBuffer features = HalfBuffer::quantize(data.features, p);
+    const Tensor wide_features = features.widen();
+    const Csr& g = plan.message_graph();
+    const std::string tag = std::string(arch_name(arch)) + " " +
+                            precision_name(p) + " n=" +
+                            std::to_string(num_nodes);
+
+    Tensor got = Tensor::empty({num_nodes, cfg.out_dim});
+    ex.run_full(features, got);
+    Tensor want = wide_features;
+    for (const exec::LayerStep& step : plan.steps()) {
+      want = oracle_layer(step, cfg, params, p, g.indptr, g.indices,
+                          g.values, want, num_nodes);
+    }
+    EXPECT_EQ(ops::max_abs_diff(got, want), 0.0f) << tag << " full pass";
+
+    const std::vector<std::int64_t> nodes{0, 5, 3, 5, 17, num_nodes - 1};
+    exec::SubgraphPlanBuilder builder(num_nodes, cfg.num_layers);
+    exec::SubgraphPlan sp;
+    builder.build(g, nodes, sp);
+    const Tensor& rows = ex.run_subgraph(sp, features);
+    Tensor h = Tensor::empty({sp.layers.front().num_src(), cfg.in_dim});
+    ops::gather_rows_into(wide_features, sp.layers.front().src_nodes, h);
+    for (const exec::LayerStep& step : plan.steps()) {
+      const exec::SubgraphLayer& layer =
+          sp.layers[static_cast<std::size_t>(step.index)];
+      h = oracle_layer(step, cfg, params, p, layer.indptr, layer.indices,
+                       layer.values, h, layer.num_dst);
+    }
+    EXPECT_EQ(ops::max_abs_diff(rows, h), 0.0f) << tag << " subgraph";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ArchByPrecision, HalfExecOracle,
+    ::testing::Combine(::testing::Values(Arch::kGcn, Arch::kSage,
+                                         Arch::kGat),
+                       ::testing::Values(Precision::kFp16,
+                                         Precision::kBf16)));
 
 // ---- Accuracy parity: engine and servers vs the fp32 reference -----------
 
