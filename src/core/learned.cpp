@@ -12,6 +12,13 @@ LearnedSouper::LearnedSouper(LearnedSoupConfig config) : config_(config) {
 }
 
 ParamStore LearnedSouper::mix(const SoupContext& sctx) {
+  return mix(sctx, [&](Rng&, const SoupStep& step) {
+    step(sctx.ctx, sctx.data);
+  });
+}
+
+ParamStore LearnedSouper::mix(const SoupContext& sctx,
+                              const EpochSelector& select) {
   loss_history_.clear();
   final_weights_.clear();
   pruned_entries_ = 0;
@@ -33,28 +40,31 @@ ParamStore LearnedSouper::mix(const SoupContext& sctx) {
   schedule.base_lr = config_.lr;
   schedule.min_lr = config_.min_lr;
 
-  const ag::Value features = ag::constant(sctx.data.features);
-  const auto val_nodes = sctx.data.split_nodes(Split::kVal);
-  GSOUP_CHECK_MSG(!val_nodes.empty(), "LS needs validation nodes");
+  const SoupStep step = [&](const GraphContext& ctx, const Dataset& data) {
+    const auto val_nodes = data.split_nodes(Split::kVal);
+    GSOUP_CHECK_MSG(!val_nodes.empty(), "LS needs validation nodes");
+    // Soup <- buildSoup(M, Alphas): differentiable mixture of frozen
+    // ingredient tensors; only the alpha logits receive gradients.
+    const ParamMap soup_values = alphas.build_soup_values(sctx.ingredients);
+    const ag::Value logits =
+        sctx.model.forward(ctx, ag::constant(data.features), soup_values);
+    const ag::Value loss = ag::cross_entropy(logits, data.labels, val_nodes);
+    loss_history_.push_back(static_cast<double>(loss->value.at(0)));
+
+    ag::backward(loss);
+    optimizer->step();
+    optimizer->zero_grad();
+  };
 
   std::vector<Tensor> best_logits;
   double best_val = -1.0;
 
   for (std::int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
     optimizer->set_lr(scheduled_lr(schedule, epoch, config_.epochs));
-
-    // Soup <- buildSoup(M, Alphas): differentiable mixture of frozen
-    // ingredient tensors; only the alpha logits receive gradients.
-    const ParamMap soup_values = alphas.build_soup_values(sctx.ingredients);
-    const ag::Value logits =
-        sctx.model.forward(sctx.ctx, features, soup_values);
-    const ag::Value loss =
-        ag::cross_entropy(logits, sctx.data.labels, val_nodes);
-    loss_history_.push_back(static_cast<double>(loss->value.at(0)));
-
-    ag::backward(loss);
-    optimizer->step();
-    optimizer->zero_grad();
+    select(rng, step);
+    GSOUP_CHECK_MSG(
+        static_cast<std::int64_t>(loss_history_.size()) == epoch + 1,
+        "an epoch selector must run the step exactly once");
 
     if (config_.prune_threshold > 0.0 && epoch > 0 &&
         config_.epochs >= 3 &&

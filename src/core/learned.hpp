@@ -7,6 +7,8 @@
 // exhaustive ratio search with O(e·(F_v + B_v)).
 #pragma once
 
+#include <functional>
+
 #include "core/alpha.hpp"
 #include "core/soup.hpp"
 #include "train/optimizer.hpp"
@@ -38,11 +40,25 @@ struct LearnedSoupConfig {
   double prune_threshold = 0.0;
 };
 
+/// One epoch's descent step: the validation loss of the current soup on
+/// (context, dataset), backpropagated into the alphas.
+using SoupStep = std::function<void(const GraphContext&, const Dataset&)>;
+
+/// Chooses an epoch's graph and runs `step` on it exactly once. Draws
+/// come from the loop's Rng, after the alpha initialisation. Whatever the
+/// selector builds lives only for the call, so one epoch's subgraph is
+/// freed before the next one is drawn.
+using EpochSelector = std::function<void(Rng& rng, const SoupStep& step)>;
+
 class LearnedSouper final : public Souper {
  public:
   explicit LearnedSouper(LearnedSoupConfig config = {});
   std::string name() const override { return "LS"; }
+  /// Alg. 3: every epoch's loss is taken on the full graph.
   ParamStore mix(const SoupContext& sctx) override;
+  /// The learned-souping loop with each epoch's graph chosen by `select`;
+  /// keep-best still probes the full graph in `sctx`.
+  ParamStore mix(const SoupContext& sctx, const EpochSelector& select);
 
   /// Validation-loss trajectory of the last mix() (diagnostics/tests).
   const std::vector<double>& loss_history() const { return loss_history_; }

@@ -1,81 +1,37 @@
 #include "core/pls.hpp"
 
-#include "ag/loss.hpp"
 #include "partition/union_subgraph.hpp"
-#include "train/metrics.hpp"
-#include "train/scheduler.hpp"
 #include "util/check.hpp"
 
 namespace gsoup {
 
-Partitioning run_partitioner(const Csr& graph, PartitionAlgo algo,
-                             std::int64_t num_parts, double epsilon,
-                             std::span<const std::uint8_t> val_mask,
-                             std::uint64_t seed) {
-  PartitionOptions opt;
-  opt.num_parts = num_parts;
-  opt.epsilon = epsilon;
-  opt.seed = seed;
-  switch (algo) {
-    case PartitionAlgo::kMultilevel:
-      return multilevel_partition(graph, opt, val_mask);
-    case PartitionAlgo::kLdg:
-      return ldg_partition(graph, opt, val_mask);
-    case PartitionAlgo::kRandom:
-      return random_partition(graph, opt);
-  }
-  GSOUP_CHECK_MSG(false, "unknown partition algorithm");
-  return {};
-}
-
 PartitionLearnedSouper::PartitionLearnedSouper(const Dataset& data,
                                                PlsConfig config)
-    : config_(config), source_nodes_(data.num_nodes()) {
-  GSOUP_CHECK_MSG(config_.budget >= 1 &&
-                      config_.budget <= config_.num_parts,
+    : learned_(config.base),
+      num_parts_(config.num_parts),
+      budget_(config.budget),
+      source_nodes_(data.num_nodes()) {
+  GSOUP_CHECK_MSG(budget_ >= 1 && budget_ <= num_parts_,
                   "PLS budget R must be in [1, K]");
-  parts_ = run_partitioner(data.graph, config_.algo, config_.num_parts,
-                           config_.epsilon, data.val_mask,
-                           config_.base.seed ^ 0x9e3779b9ULL);
+  PartitionOptions opt;
+  opt.num_parts = num_parts_;
+  opt.epsilon = config.epsilon;
+  opt.seed = config.base.seed ^ 0x9e3779b9ULL;
+  parts_ = run_partitioner(data.graph, config.algo, opt, data.val_mask);
 }
 
 ParamStore PartitionLearnedSouper::mix(const SoupContext& sctx) {
   GSOUP_CHECK_MSG(sctx.data.num_nodes() == source_nodes_,
                   "PLS was partitioned for a different dataset");
-  loss_history_.clear();
-
-  Rng rng(config_.base.seed);
-  AlphaSet alphas(sctx.ingredients.front().params,
-                  static_cast<std::int64_t>(sctx.ingredients.size()),
-                  config_.base.granularity, rng);
-
-  OptimizerConfig opt_config;
-  opt_config.kind = config_.base.optimizer;
-  opt_config.lr = config_.base.lr;
-  opt_config.momentum = config_.base.momentum;
-  opt_config.weight_decay = config_.base.weight_decay;
-  auto optimizer = make_optimizer(alphas.logits(), opt_config);
-
-  ScheduleConfig schedule;
-  schedule.kind = ScheduleKind::kCosine;
-  schedule.base_lr = config_.base.lr;
-  schedule.min_lr = config_.base.min_lr;
-
-  std::vector<Tensor> best_logits;
-  double best_val = -1.0;
   double subgraph_nodes_acc = 0.0;
-
-  for (std::int64_t epoch = 0; epoch < config_.base.epochs; ++epoch) {
-    optimizer->set_lr(scheduled_lr(schedule, epoch, config_.base.epochs));
-
+  ParamStore soup = learned_.mix(sctx, [&](Rng& rng, const SoupStep& step) {
     // Subgraph <- partitionSelection(P, R): union of R random partitions,
     // cut edges between them restored (Eq. 5). Resample (bounded) if the
     // draw carries no validation nodes.
     Subgraph sub;
     bool has_val = false;
     for (int attempt = 0; attempt < 8 && !has_val; ++attempt) {
-      const auto selected =
-          sample_partitions(config_.num_parts, config_.budget, rng);
+      const auto selected = sample_partitions(num_parts_, budget_, rng);
       sub = partition_union_subgraph(sctx.data, parts_, selected);
       has_val = sub.data.split_size(Split::kVal) > 0;
     }
@@ -84,47 +40,11 @@ ParamStore PartitionLearnedSouper::mix(const SoupContext& sctx) {
                     "nodes; partitioning is degenerate");
     subgraph_nodes_acc += static_cast<double>(sub.data.num_nodes()) /
                           static_cast<double>(sctx.data.num_nodes());
-
-    const GraphContext sub_ctx(sub.data.graph, sctx.model.config().arch);
-    const ParamMap soup_values = alphas.build_soup_values(sctx.ingredients);
-    const ag::Value features = ag::constant(sub.data.features);
-    const ag::Value logits =
-        sctx.model.forward(sub_ctx, features, soup_values);
-    const auto val_nodes = sub.data.split_nodes(Split::kVal);
-    const ag::Value loss =
-        ag::cross_entropy(logits, sub.data.labels, val_nodes);
-    loss_history_.push_back(static_cast<double>(loss->value.at(0)));
-
-    ag::backward(loss);
-    optimizer->step();
-    optimizer->zero_grad();
-
-    if (config_.base.keep_best && config_.base.eval_every > 0 &&
-        (epoch % config_.base.eval_every == 0 ||
-         epoch + 1 == config_.base.epochs)) {
-      const ParamStore snapshot = alphas.build_soup(sctx.ingredients);
-      const double val = evaluate_split(sctx.model, sctx.ctx, sctx.data,
-                                        snapshot, Split::kVal);
-      if (val > best_val) {
-        best_val = val;
-        best_logits.clear();
-        for (const auto& l : alphas.logits()) {
-          best_logits.push_back(l->value.clone());
-        }
-      }
-    }
-  }
-
-  if (config_.base.keep_best && !best_logits.empty()) {
-    const auto& logits = alphas.logits();
-    for (std::size_t i = 0; i < logits.size(); ++i) {
-      logits[i]->value.copy_(best_logits[i]);
-    }
-  }
-
+    step(GraphContext(sub.data.graph, sctx.model.config().arch), sub.data);
+  });
   mean_subgraph_fraction_ =
-      subgraph_nodes_acc / static_cast<double>(config_.base.epochs);
-  return alphas.build_soup(sctx.ingredients);
+      subgraph_nodes_acc / static_cast<double>(loss_history().size());
+  return soup;
 }
 
 }  // namespace gsoup

@@ -4,6 +4,8 @@
 // graph (of K total, Eq. 5), cut edges between selected partitions
 // preserved. Memory scales with the R/K partition ratio (§VI-B) and the
 // random partition choice acts as minibatch-style regularisation (§V-A).
+// The loop itself is LearnedSouper's; PLS supplies only the epoch
+// selector (Alg. 4's partitionSelection step).
 //
 // The graph is partitioned once in the constructor — a preprocessing step
 // per the paper (Fig. 2 step 1) — so partitioning cost stays out of the
@@ -15,8 +17,6 @@
 #include "partition/partitioner.hpp"
 
 namespace gsoup {
-
-enum class PartitionAlgo { kMultilevel, kLdg, kRandom };
 
 struct PlsConfig {
   LearnedSoupConfig base;
@@ -35,22 +35,23 @@ class PartitionLearnedSouper final : public Souper {
   ParamStore mix(const SoupContext& sctx) override;
 
   const Partitioning& partitioning() const { return parts_; }
-  const std::vector<double>& loss_history() const { return loss_history_; }
+  const std::vector<double>& loss_history() const {
+    return learned_.loss_history();
+  }
+  const std::vector<std::vector<float>>& final_weights() const {
+    return learned_.final_weights();
+  }
+  std::int64_t pruned_entries() const { return learned_.pruned_entries(); }
   /// Mean subgraph size (fraction of nodes) over the last mix()'s epochs.
   double mean_subgraph_fraction() const { return mean_subgraph_fraction_; }
 
  private:
-  PlsConfig config_;
+  LearnedSouper learned_;
+  std::int64_t num_parts_;  ///< K
+  std::int64_t budget_;     ///< R
   Partitioning parts_;
   std::int64_t source_nodes_ = 0;  ///< guards against dataset mix-ups
-  std::vector<double> loss_history_;
   double mean_subgraph_fraction_ = 0.0;
 };
-
-/// Shared helper: run the partitioner selected by `algo`.
-Partitioning run_partitioner(const Csr& graph, PartitionAlgo algo,
-                             std::int64_t num_parts, double epsilon,
-                             std::span<const std::uint8_t> val_mask,
-                             std::uint64_t seed);
 
 }  // namespace gsoup

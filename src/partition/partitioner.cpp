@@ -97,4 +97,28 @@ PartitionQuality evaluate_partitioning(
   return q;
 }
 
+PartitionAlgo parse_partition_algo(std::string_view name) {
+  if (name == "random") return PartitionAlgo::kRandom;
+  if (name == "ldg") return PartitionAlgo::kLdg;
+  if (name == "multilevel") return PartitionAlgo::kMultilevel;
+  GSOUP_CHECK_MSG(false, "unknown partitioner '"
+                             << name << "' (random | ldg | multilevel)");
+  return {};
+}
+
+Partitioning run_partitioner(const Csr& graph, PartitionAlgo algo,
+                             const PartitionOptions& opt,
+                             std::span<const std::uint8_t> val_mask) {
+  switch (algo) {
+    case PartitionAlgo::kMultilevel:
+      return multilevel_partition(graph, opt, val_mask);
+    case PartitionAlgo::kLdg:
+      return ldg_partition(graph, opt, val_mask);
+    case PartitionAlgo::kRandom:
+      return random_partition(graph, opt);
+  }
+  GSOUP_CHECK_MSG(false, "unknown partition algorithm");
+  return {};
+}
+
 }  // namespace gsoup

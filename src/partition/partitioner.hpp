@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -71,6 +72,19 @@ Partitioning ldg_partition(const Csr& graph, const PartitionOptions& opt,
 Partitioning multilevel_partition(const Csr& graph,
                                   const PartitionOptions& opt,
                                   std::span<const std::uint8_t> val_mask);
+
+enum class PartitionAlgo { kMultilevel, kLdg, kRandom };
+
+/// Parses "random", "ldg" or "multilevel"; any other name is a
+/// CheckError naming the three.
+PartitionAlgo parse_partition_algo(std::string_view name);
+
+/// Runs the partitioner `algo` selects. `val_mask` is the secondary
+/// balance constraint (ignored by random hashing); an all-zero mask
+/// balances node counts only.
+Partitioning run_partitioner(const Csr& graph, PartitionAlgo algo,
+                             const PartitionOptions& opt,
+                             std::span<const std::uint8_t> val_mask);
 
 /// Repair pass: guarantee every part is non-empty by moving nodes out of
 /// the largest parts. PLS samples partition subsets, so an empty part

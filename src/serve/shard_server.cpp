@@ -48,18 +48,8 @@ ShardSet make_serving_shards(const Csr& graph, const ModelConfig& config,
   // Serving has no validation split: balance node counts only.
   const std::vector<std::uint8_t> no_mask(
       static_cast<std::size_t>(graph.num_nodes), 0);
-  Partitioning parts;
-  if (opt.partitioner == "random") {
-    parts = random_partition(graph, popt);
-  } else if (opt.partitioner == "ldg") {
-    parts = ldg_partition(graph, popt, no_mask);
-  } else if (opt.partitioner == "multilevel") {
-    parts = multilevel_partition(graph, popt, no_mask);
-  } else {
-    GSOUP_CHECK_MSG(false, "unknown partitioner '"
-                               << opt.partitioner
-                               << "' (random | ldg | multilevel)");
-  }
+  const Partitioning parts = run_partitioner(
+      graph, parse_partition_algo(opt.partitioner), popt, no_mask);
   // halo = layer count: the minimal depth that keeps an L-layer query —
   // including the source degrees its normalisation weights read —
   // entirely shard-local (see partition/sharding.hpp).

@@ -1,6 +1,5 @@
 #include "train/metrics.hpp"
 
-#include "ag/loss.hpp"
 #include "ag/value.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -27,18 +26,6 @@ double evaluate_split(const GnnModel& model, const GraphContext& ctx,
   const ag::Value logits = model.forward(ctx, x, map);
   const auto nodes = data.split_nodes(split);
   return accuracy(logits->value, data.labels, nodes);
-}
-
-double evaluate_loss(const GnnModel& model, const GraphContext& ctx,
-                     const Dataset& data, const ParamStore& params,
-                     Split split) {
-  ag::NoGradGuard no_grad;
-  const ParamMap map = as_leaves(params, /*requires_grad=*/false);
-  const ag::Value x = ag::constant(data.features);
-  const ag::Value logits = model.forward(ctx, x, map);
-  const auto nodes = data.split_nodes(split);
-  const ag::Value loss = ag::cross_entropy(logits, data.labels, nodes);
-  return static_cast<double>(loss->value.at(0));
 }
 
 }  // namespace gsoup

@@ -21,9 +21,4 @@ double evaluate_split(const GnnModel& model, const GraphContext& ctx,
                       const Dataset& data, const ParamStore& params,
                       Split split);
 
-/// Inference-mode forward + mean cross-entropy on one split.
-double evaluate_loss(const GnnModel& model, const GraphContext& ctx,
-                     const Dataset& data, const ParamStore& params,
-                     Split split);
-
 }  // namespace gsoup

@@ -1,14 +1,10 @@
 #include "train/minibatch_trainer.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "ag/graph_ops.hpp"
 #include "ag/loss.hpp"
-#include "obs/trace.hpp"
-#include "train/metrics.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace gsoup {
 
@@ -26,29 +22,12 @@ TrainResult train_minibatch(const GnnModel& model, const GraphContext& ctx,
   // context needs the dataset in the same plan space.
   ctx.check_plan_space(data.graph);
 
-  Timer timer;
-  TrainResult result;
-
-  ParamMap leaves = as_leaves(params, /*requires_grad=*/true);
-  std::vector<ag::Value> leaf_list;
-  for (auto& [name, leaf] : leaves) leaf_list.push_back(leaf);
-  OptimizerConfig opt_config = config.train.optimizer;
-  opt_config.lr = config.train.schedule.base_lr;
-  auto optimizer = make_optimizer(leaf_list, opt_config);
-
   Rng rng(config.train.seed ^ 0xba7c4e5dULL);
   const ag::Value features = ag::constant(data.features);
   auto train_nodes = data.split_nodes(Split::kTrain);
   GSOUP_CHECK_MSG(!train_nodes.empty(), "dataset has no training nodes");
 
-  ParamStore best;
-  std::int64_t since_best = 0;
-
-  for (std::int64_t epoch = 0; epoch < config.train.epochs; ++epoch) {
-    OBS_SPAN("train.epoch");
-    optimizer->set_lr(
-        scheduled_lr(config.train.schedule, epoch, config.train.epochs));
-
+  const EpochStep step = [&](const ParamMap& leaves, Optimizer& optimizer) {
     // Shuffle train nodes, then walk batches.
     for (std::size_t i = train_nodes.size(); i > 1; --i) {
       std::swap(train_nodes[i - 1], train_nodes[rng.uniform_int(i)]);
@@ -84,41 +63,13 @@ TrainResult train_minibatch(const GnnModel& model, const GraphContext& ctx,
       ++batches;
 
       ag::backward(loss);
-      optimizer->step();
-      optimizer->zero_grad();
+      optimizer.step();
+      optimizer.zero_grad();
     }
-    result.train_loss.push_back(epoch_loss /
-                                static_cast<double>(std::max<std::int64_t>(
-                                    batches, 1)));
-    ++result.epochs_run;
-
-    if (config.train.eval_every > 0 &&
-        (epoch % config.train.eval_every == 0 ||
-         epoch + 1 == config.train.epochs)) {
-      const double acc =
-          evaluate_split(model, ctx, data, params, Split::kVal);
-      result.val_acc.push_back(acc);
-      if (acc > result.best_val_acc || result.best_epoch < 0) {
-        result.best_val_acc = acc;
-        result.best_epoch = epoch;
-        since_best = 0;
-        if (config.train.keep_best) best = params.clone();
-      } else {
-        ++since_best;
-        if (config.train.patience > 0 && since_best >= config.train.patience) {
-          break;
-        }
-      }
-    }
-  }
-
-  if (config.train.keep_best && best.size() > 0) {
-    for (const auto& e : best.entries()) {
-      params.get_mutable(e.name).copy_(e.tensor);
-    }
-  }
-  result.seconds = timer.seconds();
-  return result;
+    return epoch_loss /
+           static_cast<double>(std::max<std::int64_t>(batches, 1));
+  };
+  return train_epochs(model, ctx, data, params, config.train, step);
 }
 
 }  // namespace gsoup

@@ -1,6 +1,7 @@
 // Minibatch neighbour-sampling trainer (GraphSAGE): the alternative
 // ingredient-training regime the paper's setup supports ("including both
-// minibatching and full-batching", §IV-B).
+// minibatching and full-batching", §IV-B). It runs train_epochs() with a
+// step of shuffle, neighbour sampling and a batch loop.
 #pragma once
 
 #include "graph/dataset.hpp"

@@ -1,5 +1,7 @@
 #include "train/trainer.hpp"
 
+#include <optional>
+
 #include "ag/loss.hpp"
 #include "ag/ops.hpp"
 #include "exec/executor.hpp"
@@ -10,13 +12,9 @@
 
 namespace gsoup {
 
-TrainResult train_full_batch(const GnnModel& model, const GraphContext& ctx,
-                             const Dataset& data, ParamStore& params,
-                             const TrainConfig& config) {
-  GSOUP_CHECK_MSG(config.epochs > 0, "need at least one epoch");
-  // This loop reads labels/masks by node id; a reordered context needs
-  // the dataset in the same plan space. Caught here once, not per epoch.
-  ctx.check_plan_space(data.graph);
+TrainResult train_epochs(const GnnModel& model, const GraphContext& ctx,
+                         const Dataset& data, ParamStore& params,
+                         const TrainConfig& config, const EpochStep& step) {
   Timer timer;
   TrainResult result;
 
@@ -29,33 +27,13 @@ TrainResult train_full_batch(const GnnModel& model, const GraphContext& ctx,
   opt_config.lr = config.schedule.base_lr;
   auto optimizer = make_optimizer(leaf_list, opt_config);
 
-  Rng dropout_rng(config.seed ^ 0x5eed5eedULL);
-  const ag::Value features = ag::constant(data.features);
-  const auto train_nodes = data.split_nodes(Split::kTrain);
-  GSOUP_CHECK_MSG(!train_nodes.empty(), "dataset has no training nodes");
-
-  // Parameter Values bound to the plan's steps once, outside the epoch
-  // loop: every forward below walks an indexed vector instead of doing
-  // per-layer name→Value map lookups. The bound handles alias the same
-  // leaves the optimizer steps, so no refresh is ever needed.
-  const exec::LayerPlan& plan = ctx.layer_plan(model.config());
-  const exec::TapeBindings bound(plan, leaves);
-
   ParamStore best;
   std::int64_t since_best = 0;
 
   for (std::int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     OBS_SPAN("train.epoch");
     optimizer->set_lr(scheduled_lr(config.schedule, epoch, config.epochs));
-
-    const ag::Value logits = exec::run_train(plan, features, bound,
-                                             /*training=*/true, &dropout_rng);
-    const ag::Value loss = ag::cross_entropy(logits, data.labels, train_nodes);
-    result.train_loss.push_back(static_cast<double>(loss->value.at(0)));
-
-    ag::backward(loss);
-    optimizer->step();
-    optimizer->zero_grad();
+    result.train_loss.push_back(step(leaves, *optimizer));
     ++result.epochs_run;
 
     if (config.eval_every > 0 &&
@@ -82,6 +60,44 @@ TrainResult train_full_batch(const GnnModel& model, const GraphContext& ctx,
   }
   result.seconds = timer.seconds();
   return result;
+}
+
+TrainResult train_full_batch(const GnnModel& model, const GraphContext& ctx,
+                             const Dataset& data, ParamStore& params,
+                             const TrainConfig& config) {
+  GSOUP_CHECK_MSG(config.epochs > 0, "need at least one epoch");
+  // This step reads labels/masks by node id; a reordered context needs
+  // the dataset in the same plan space. Caught here once, not per epoch.
+  ctx.check_plan_space(data.graph);
+  Rng dropout_rng(config.seed ^ 0x5eed5eedULL);
+  const ag::Value features = ag::constant(data.features);
+  const auto train_nodes = data.split_nodes(Split::kTrain);
+  GSOUP_CHECK_MSG(!train_nodes.empty(), "dataset has no training nodes");
+
+  // Parameter Values bound to the plan's steps once, on the first epoch:
+  // every forward walks an indexed vector instead of doing per-layer
+  // name→Value map lookups. The bound handles alias the same leaves the
+  // optimizer steps, so no refresh is ever needed.
+  const exec::LayerPlan& plan = ctx.layer_plan(model.config());
+  std::optional<exec::TapeBindings> bound;
+
+  // The epoch's tape stays alive through the driver's evaluation and is
+  // dropped before the next forward. Freed any earlier, its pages go back
+  // to the OS and the evaluation faults them in again (twice the minor
+  // page faults in a 4-worker farm).
+  ag::Value last_loss;
+  const EpochStep step = [&](const ParamMap& leaves, Optimizer& optimizer) {
+    last_loss = nullptr;
+    if (!bound) bound.emplace(plan, leaves);
+    const ag::Value logits = exec::run_train(plan, features, *bound,
+                                             /*training=*/true, &dropout_rng);
+    last_loss = ag::cross_entropy(logits, data.labels, train_nodes);
+    ag::backward(last_loss);
+    optimizer.step();
+    optimizer.zero_grad();
+    return static_cast<double>(last_loss->value.at(0));
+  };
+  return train_epochs(model, ctx, data, params, config, step);
 }
 
 }  // namespace gsoup

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "graph/dataset.hpp"
@@ -36,6 +37,20 @@ struct TrainResult {
   std::int64_t epochs_run = 0;
   double seconds = 0.0;
 };
+
+/// One training epoch: a forward, backward and optimizer step per batch
+/// on `leaves`, the trainable aliases of the caller's params. Returns the
+/// epoch's mean training loss.
+using EpochStep =
+    std::function<double(const ParamMap& leaves, Optimizer& optimizer)>;
+
+/// The epoch driver: builds the leaves and the optimizer, sets each
+/// epoch's scheduled lr, runs `step`, and owns the validation cadence,
+/// best-epoch checkpointing, patience and the final restore. Callers check
+/// the dataset's plan space before building the step.
+TrainResult train_epochs(const GnnModel& model, const GraphContext& ctx,
+                         const Dataset& data, ParamStore& params,
+                         const TrainConfig& config, const EpochStep& step);
 
 /// Train `params` on the dataset's train split. The context must match the
 /// model's architecture and wrap the dataset's graph.

@@ -5,6 +5,7 @@
 
 #include "core/diversity.hpp"
 #include "core/learned.hpp"
+#include "core/pls.hpp"
 #include "core/soup.hpp"
 #include "graph/generator.hpp"
 #include "tensor/init.hpp"
@@ -158,6 +159,17 @@ TEST_F(ExtensionFixture, PrunedLearnedSoupingDropsSabotagedIngredient) {
   EXPECT_GT(souper.pruned_entries(), 0);
   const auto& w = souper.final_weights().front();
   EXPECT_LT(w[1], 1e-6f) << "sabotaged ingredient should be hard-pruned";
+
+  // PLS runs the same loop, so it honours the same threshold.
+  PlsConfig pls_cfg;
+  pls_cfg.base = cfg;
+  pls_cfg.num_parts = 4;
+  pls_cfg.budget = 2;
+  PartitionLearnedSouper pls(*data_, pls_cfg);
+  (void)pls.mix(sctx);
+  EXPECT_GT(pls.pruned_entries(), 0);
+  const auto& pw = pls.final_weights().front();
+  EXPECT_LT(pw[1], 1e-6f) << "PLS should hard-prune the sabotaged ingredient";
 }
 
 TEST_F(ExtensionFixture, PruningDisabledByDefault) {

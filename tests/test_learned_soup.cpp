@@ -255,6 +255,44 @@ TEST_F(LearnedSoupFixture, PlsFullBudgetDegeneratesToLsCost) {
   PartitionLearnedSouper souper(*data_, cfg);
   (void)souper.mix(soup_context());
   EXPECT_NEAR(souper.mean_subgraph_fraction(), 1.0, 1e-9);
+
+  // With the whole graph selected, Alg. 4 is Alg. 3: the same loss
+  // trajectory and the same soup, bit for bit, on every architecture and
+  // with keep-best both off and on.
+  for (const Arch arch : {Arch::kGcn, Arch::kSage, Arch::kGat}) {
+    ModelConfig mc = model_->config();
+    mc.arch = arch;
+    mc.heads = 2;
+    const GnnModel model(mc);
+    const GraphContext ctx(data_->graph, arch);
+    FarmConfig farm;
+    farm.num_ingredients = 3;
+    farm.num_workers = 1;
+    farm.train.epochs = 8;
+    farm.train.schedule.base_lr = 0.02;
+    const FarmResult ings = train_ingredients(model, ctx, *data_, farm);
+    const SoupContext sctx{model, ctx, *data_, ings.ingredients};
+
+    for (const bool keep_best : {false, true}) {
+      SCOPED_TRACE(std::string(arch_name(arch)) +
+                   (keep_best ? " keep_best" : " plain"));
+      PlsConfig full;
+      full.base.epochs = 12;
+      full.base.keep_best = keep_best;
+      full.base.eval_every = 3;
+      full.num_parts = 4;
+      full.budget = 4;
+      LearnedSouper ls(full.base);
+      PartitionLearnedSouper pls(*data_, full);
+      const ParamStore ls_soup = ls.mix(sctx);
+      const ParamStore pls_soup = pls.mix(sctx);
+      EXPECT_EQ(pls.loss_history(), ls.loss_history());
+      for (const auto& e : ls_soup.entries()) {
+        EXPECT_EQ(ops::max_abs_diff(e.tensor, pls_soup.get(e.name)), 0.0f)
+            << e.name;
+      }
+    }
+  }
 }
 
 TEST_F(LearnedSoupFixture, PlsRejectsInvalidBudget) {

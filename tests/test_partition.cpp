@@ -87,6 +87,24 @@ TEST(MultilevelPartition, BalancesValidationNodes) {
   }
 }
 
+TEST(PartitionerDispatch, NamesSelectTheirPartitioner) {
+  const Dataset data = community_dataset(400, 5);
+  PartitionOptions opt;
+  opt.num_parts = 4;
+  const auto by_name = [&](const char* name) {
+    return run_partitioner(data.graph, parse_partition_algo(name), opt,
+                           data.val_mask)
+        .assignment;
+  };
+  EXPECT_EQ(by_name("random"), random_partition(data.graph, opt).assignment);
+  EXPECT_EQ(by_name("ldg"),
+            ldg_partition(data.graph, opt, data.val_mask).assignment);
+  EXPECT_EQ(by_name("multilevel"),
+            multilevel_partition(data.graph, opt, data.val_mask).assignment);
+  EXPECT_THROW(parse_partition_algo("metis"), CheckError);
+  EXPECT_THROW(parse_partition_algo(""), CheckError);
+}
+
 class PartitionerSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 

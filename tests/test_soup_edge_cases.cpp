@@ -130,6 +130,32 @@ TEST(SoupEdgeCases, SingleIngredientSoups) {
   }
 }
 
+TEST(SoupEdgeCases, EpochSelectorMustRunTheStepOnce) {
+  const Dataset data = soup_dataset(108);
+  ModelConfig cfg;
+  cfg.arch = Arch::kGcn;
+  cfg.in_dim = data.feature_dim();
+  cfg.hidden_dim = 8;
+  cfg.out_dim = data.num_classes;
+  const GnnModel model(cfg);
+  const GraphContext ctx(data.graph, Arch::kGcn);
+  const FarmResult farm = train_set(model, ctx, data, 2);
+  const SoupContext sctx{model, ctx, data, farm.ingredients};
+
+  LearnedSoupConfig ls_cfg;
+  ls_cfg.epochs = 3;
+  LearnedSouper ls(ls_cfg);
+  EXPECT_THROW(ls.mix(sctx, [](Rng&, const SoupStep&) {}), CheckError);
+  EXPECT_THROW(ls.mix(sctx,
+                      [&](Rng&, const SoupStep& step) {
+                        step(ctx, data);
+                        step(ctx, data);
+                      }),
+               CheckError);
+  (void)ls.mix(sctx, [&](Rng&, const SoupStep& step) { step(ctx, data); });
+  EXPECT_EQ(ls.loss_history().size(), 3u);
+}
+
 TEST(SoupEdgeCases, IdenticalIngredientsAreAFixedPoint) {
   const Dataset data = soup_dataset(108);
   ModelConfig cfg;

@@ -96,6 +96,7 @@
 #include "nn/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "partition/partitioner.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
@@ -239,11 +240,19 @@ serve::QueryMode parse_mode(const std::string& name) {
   return serve::QueryMode::kSubgraph;
 }
 
-/// Bad --precision/--quantized values are usage errors (exit 2), like any
-/// other malformed flag, not internal errors.
+/// Bad --precision/--quantized/--partitioner values are usage errors
+/// (exit 2), like any other malformed flag, not internal errors.
 Precision parse_precision_arg(const std::string& name) {
   try {
     return parse_precision(name);
+  } catch (const std::exception& e) {
+    throw ExitError(kExitUsage, e.what());
+  }
+}
+
+void check_partitioner_arg(const std::string& name) {
+  try {
+    parse_partition_algo(name);
   } catch (const std::exception& e) {
     throw ExitError(kExitUsage, e.what());
   }
@@ -326,9 +335,7 @@ int cmd_save(const Args& args) {
   require(!args.out_path.empty() && !args.data_path.empty(),
           "save needs --out and --data");
   require(args.shards >= 0, "--shards must be >= 0");
-  require(args.partitioner == "random" || args.partitioner == "ldg" ||
-              args.partitioner == "multilevel",
-          "--partitioner must be random, ldg or multilevel");
+  check_partitioner_arg(args.partitioner);
   Precision quantized = Precision::kFp32;
   if (!args.quantized.empty()) {
     quantized = parse_precision_arg(args.quantized);
